@@ -4,7 +4,7 @@ use crate::harness::Scale;
 use crate::report::Report;
 use ce_datagen::realworld::{imdb_like, stats_like};
 use ce_datagen::{generate_batch, DatasetSpec};
-use ce_storage::stats::ColumnStats;
+use ce_storage::stats::distinct_count;
 use ce_storage::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +24,7 @@ fn describe(ds: &Dataset) -> (usize, usize, usize, usize, usize) {
         .flat_map(|t| {
             t.data_column_indices()
                 .into_iter()
-                .map(|c| ColumnStats::compute(&t.columns[c]).ndv)
+                .map(|c| distinct_count(&t.columns[c]))
         })
         .sum();
     (tables, min_rows, max_rows, columns, domain)

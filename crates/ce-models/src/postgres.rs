@@ -6,7 +6,7 @@
 //! paper compares against (Fig. 9 "Postgres" and Table V "PostgreSQL").
 
 use crate::traits::{CardEstimator, ModelKind, TrainContext};
-use ce_storage::stats::EquiDepthHistogram;
+use ce_storage::stats::{distinct_count, EquiDepthHistogram};
 use ce_storage::{Dataset, Query};
 use std::collections::HashMap;
 
@@ -43,12 +43,8 @@ impl PostgresEstimator {
         }
         let mut join_ndv = HashMap::new();
         for e in &ds.joins {
-            let ndv_fk =
-                ce_storage::stats::ColumnStats::compute(&ds.tables[e.fk_table].columns[e.fk_col])
-                    .ndv as f64;
-            let ndv_pk =
-                ce_storage::stats::ColumnStats::compute(&ds.tables[e.pk_table].columns[e.pk_col])
-                    .ndv as f64;
+            let ndv_fk = distinct_count(&ds.tables[e.fk_table].columns[e.fk_col]) as f64;
+            let ndv_pk = distinct_count(&ds.tables[e.pk_table].columns[e.pk_col]) as f64;
             join_ndv.insert((e.fk_table, e.pk_table), (ndv_fk, ndv_pk));
         }
         PostgresEstimator {

@@ -66,15 +66,20 @@ fn log_norm(v: f64) -> f32 {
 }
 
 /// Extracts the feature graph of a dataset (§V-A, Figure 4).
+///
+/// Every statistic is exact (see the crate docs). The equality rate is
+/// symmetric, so each unordered column pair is computed once and written to
+/// both of its correlation slots.
 pub fn extract_features(ds: &Dataset, cfg: &FeatureConfig) -> FeatureGraph {
     let m = cfg.max_columns;
     let per_col = COLUMN_FEATURES + m;
     let mut vertices = Vec::with_capacity(ds.num_tables());
     for table in &ds.tables {
-        let data_cols = table.data_column_indices();
-        let used = data_cols.len().min(m);
+        let mut data_cols = table.data_column_indices();
+        data_cols.truncate(m);
+        let used = data_cols.len();
         let mut v = vec![0.0f32; cfg.vertex_dim()];
-        for (slot, &c) in data_cols.iter().take(m).enumerate() {
+        for (slot, &c) in data_cols.iter().enumerate() {
             let col = &table.columns[c];
             let s = ColumnStats::compute(col);
             let base = slot * per_col;
@@ -85,17 +90,16 @@ pub fn extract_features(ds: &Dataset, cfg: &FeatureConfig) -> FeatureGraph {
             v[base + 4] = log_norm(s.range());
             v[base + 5] = log_norm(s.ndv as f64);
             // Correlation slots against the other (first m) columns.
-            for (other_slot, &oc) in data_cols.iter().take(used).enumerate() {
-                if other_slot == slot {
-                    continue;
-                }
-                v[base + COLUMN_FEATURES + other_slot] =
-                    equality_rate(col, &table.columns[oc]) as f32;
+            for (other, &oc) in data_cols.iter().enumerate().skip(slot + 1) {
+                let rate = equality_rate(col, &table.columns[oc]) as f32;
+                v[base + COLUMN_FEATURES + other] = rate;
+                v[other * per_col + COLUMN_FEATURES + slot] = rate;
             }
         }
         let tail = cfg.vertex_dim() - 2;
         v[tail] = log_norm(table.num_rows() as f64);
-        v[tail + 1] = used as f32 / m as f32;
+        // Share of the `m` column slots in use; 0 when there are none.
+        v[tail + 1] = if m == 0 { 0.0 } else { used as f32 / m as f32 };
         vertices.push(v);
     }
 
@@ -212,9 +216,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(194);
         for _ in 0..10 {
             let ds = generate_dataset("b", &DatasetSpec::small(), &mut rng);
-            let g = extract_features(&ds, &FeatureConfig::default());
-            for v in &g.vertices {
-                assert!(v.iter().all(|x| x.is_finite() && x.abs() <= 2.0));
+            for max_columns in [0, 1, FeatureConfig::default().max_columns] {
+                let g = extract_features(&ds, &FeatureConfig { max_columns });
+                for v in &g.vertices {
+                    assert!(v.iter().all(|x| x.is_finite() && x.abs() <= 2.0));
+                }
             }
         }
     }

@@ -15,6 +15,19 @@
 //! correlation feature is the same-position equality rate (the reverse of
 //! the generator's F2 process), and edge weights reverse F3 (FK-over-PK set
 //! coverage).
+//!
+//! ## Exactness and bit identity
+//!
+//! Every statistic is computed exactly: distinct counts and join coverage
+//! are exact set sizes (dense bitmaps over the value range, or sort + dedup
+//! when the range is too sparse — see `ce_storage::stats`), and the
+//! moments accumulate in element order. [`extract_features`] is therefore a
+//! pure function of the dataset and the config down to the `f32` bit
+//! pattern. That is a contract: feature bits feed the encoder and the
+//! serving cache's fingerprints, so an extractor change that moves a single
+//! bit would silently move recommendations. `tests/oracle.rs` pins it
+//! against the original hash-set implementation, kept there as a test-only
+//! oracle.
 
 pub mod csr;
 pub mod graph;

@@ -576,7 +576,10 @@ impl<B> Clone for ServeHandle<B> {
 
 impl<B: AdvisorBackend + 'static> ServeHandle<B> {
     /// Recommends a model for a dataset: features are extracted
-    /// caller-side (CPU-cheap), then the request rides [`Self::query`].
+    /// caller-side, then the request rides [`Self::query`]. Extraction is
+    /// most of the call: on a 2-vCPU x86 host it takes ≈2 ms single-threaded
+    /// for a `DatasetSpec::paper()` dataset (0.2–6.5 ms over 24 of them,
+    /// 20k–170k rows), against ≈30 µs for the encode and vote behind it.
     /// Blocks until the response arrives; applies backpressure (blocks)
     /// while the request queue is full.
     pub fn recommend(

@@ -12,7 +12,6 @@
 use crate::column::{Column, Value};
 use crate::dataset::{Dataset, JoinEdge};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Moment-based summary of one column.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,7 +37,16 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Computes all moments in one pass (plus one NDV pass).
+    /// Computes the summary in two passes over the data, then counts the
+    /// distinct values.
+    ///
+    /// The first pass finds `min`, `max` and the sum; the second
+    /// accumulates the central moments in element order, so every float
+    /// is reproducible bit for bit. `ndv` is the exact count from
+    /// [`distinct_count`]'s rule, reusing the first pass's `min`/`max`: a
+    /// dense bitmap over `[min, max]` when that range holds fewer than
+    /// `64·n` values (the bitmap is then no larger than a sorted copy of
+    /// the column), sort + dedup otherwise.
     pub fn compute(column: &Column) -> Self {
         let n = column.len();
         if n == 0 {
@@ -82,7 +90,7 @@ impl ColumnStats {
         } else {
             (0.0, 0.0)
         };
-        let ndv = data.iter().copied().collect::<HashSet<_>>().len();
+        let ndv = distinct_in_range(data, min, max);
         ColumnStats {
             count: n,
             min,
@@ -96,9 +104,74 @@ impl ColumnStats {
         }
     }
 
-    /// Value range (`max - min`), as used in the feature matrix.
+    /// Value range (`max - min`), as used in the feature matrix. The
+    /// difference is taken in `i128`, so it cannot overflow; whenever it
+    /// fits an `i64` the result is the same `f64`.
     pub fn range(&self) -> f64 {
-        (self.max - self.min) as f64
+        (self.max as i128 - self.min as i128) as f64
+    }
+}
+
+/// Exact number of distinct values in a column.
+///
+/// Uses a dense bitmap over `[min, max]` when that range holds fewer than
+/// `64·n` values, so the bitmap never outgrows a sorted copy of the column;
+/// otherwise sorts a copy and counts runs, which is `O(n log n)` on any
+/// input.
+pub fn distinct_count(column: &Column) -> usize {
+    match min_max(&column.data) {
+        Some((min, max)) => distinct_in_range(&column.data, min, max),
+        None => 0,
+    }
+}
+
+/// `(min, max)` of a non-empty slice.
+fn min_max(data: &[Value]) -> Option<(Value, Value)> {
+    let first = *data.first()?;
+    Some(
+        data.iter()
+            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
+    )
+}
+
+/// `span`, the number of values in `[min, max]`, when a bitmap of `span`
+/// bits stays under `budget` bits; `None` otherwise.
+fn dense_span(min: Value, max: Value, budget: i128) -> Option<usize> {
+    let span = max as i128 - min as i128 + 1;
+    (span < budget).then_some(span as usize)
+}
+
+/// Bitmap of the values of `data` that fall in `[min, min + span)`.
+fn bitmap(data: &[Value], min: Value, span: usize) -> Vec<u64> {
+    let mut words = vec![0u64; span.div_ceil(64)];
+    for &v in data {
+        // `v - min` as an unsigned offset: exact for `v >= min`, and values
+        // below `min` wrap past `span` and are skipped.
+        let off = v.wrapping_sub(min) as u64;
+        if off < span as u64 {
+            words[(off >> 6) as usize] |= 1 << (off & 63);
+        }
+    }
+    words
+}
+
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Sorted, deduplicated copy of `data`.
+fn sorted_distinct(data: &[Value]) -> Vec<Value> {
+    let mut v = data.to_vec();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Distinct count of `data`, whose extremes are `min` and `max`.
+fn distinct_in_range(data: &[Value], min: Value, max: Value) -> usize {
+    match dense_span(min, max, 64 * data.len() as i128) {
+        Some(span) => popcount(&bitmap(data, min, span)),
+        None => sorted_distinct(data).len(),
     }
 }
 
@@ -222,29 +295,45 @@ pub fn equality_rate(a: &Column, b: &Column) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let eq = (0..n).filter(|&i| a.data[i] == b.data[i]).count();
+    let eq = a.data.iter().zip(&b.data).filter(|(x, y)| x == y).count();
     eq as f64 / n as f64
 }
 
 /// Join correlation of an edge: the fraction of the PK column's value set
 /// covered by the FK column's value set (§V-A1 — "taking the set of the FK
 /// column data, then calculating its ratio over the PK column data").
+///
+/// Exact: both value sets become bitmaps over the PK column's `[min, max]`
+/// (FK values outside it cannot be covered) and the coverage is the
+/// popcount of their AND. When that range holds `32·(n_pk + n_fk)` values
+/// or more, the two bitmaps together would outgrow sorted copies of both
+/// columns, and sorted distinct lists are intersected instead.
 pub fn join_correlation(ds: &Dataset, edge: &JoinEdge) -> f64 {
-    let fk: HashSet<Value> = ds.tables[edge.fk_table].columns[edge.fk_col]
-        .data
-        .iter()
-        .copied()
-        .collect();
-    let pk: HashSet<Value> = ds.tables[edge.pk_table].columns[edge.pk_col]
-        .data
-        .iter()
-        .copied()
-        .collect();
-    if pk.is_empty() {
+    let fk = &ds.tables[edge.fk_table].columns[edge.fk_col].data;
+    let pk = &ds.tables[edge.pk_table].columns[edge.pk_col].data;
+    let Some((min, max)) = min_max(pk) else {
         return 0.0;
-    }
-    let inter = fk.intersection(&pk).count();
-    inter as f64 / pk.len() as f64
+    };
+    let (covered, pk_ndv) = match dense_span(min, max, 32 * (pk.len() + fk.len()) as i128) {
+        Some(span) => {
+            let pk_set = bitmap(pk, min, span);
+            let fk_set = bitmap(fk, min, span);
+            let covered = pk_set
+                .iter()
+                .zip(&fk_set)
+                .map(|(p, f)| (p & f).count_ones() as usize);
+            (covered.sum(), popcount(&pk_set))
+        }
+        None => {
+            let (pk_set, fk_set) = (sorted_distinct(pk), sorted_distinct(fk));
+            let covered = fk_set
+                .iter()
+                .filter(|v| pk_set.binary_search(v).is_ok())
+                .count();
+            (covered, pk_set.len())
+        }
+    };
+    covered as f64 / pk_ndv as f64
 }
 
 #[cfg(test)]
@@ -281,6 +370,62 @@ mod tests {
         assert_eq!(s.ndv, 1);
         let e = ColumnStats::compute(&Column::data("e", vec![]));
         assert_eq!(e.count, 0);
+    }
+
+    #[test]
+    fn range_of_i64_extremes_does_not_overflow() {
+        let s = ColumnStats::compute(&Column::data("x", vec![i64::MIN, i64::MAX]));
+        assert_eq!(s.range(), 2f64.powi(64));
+        assert_eq!(s.ndv, 2);
+        let t = ColumnStats::compute(&Column::data("y", vec![-5, 7]));
+        assert_eq!(t.range(), 12.0);
+    }
+
+    #[test]
+    fn dense_and_sort_counters_agree_around_threshold() {
+        for n in [1usize, 2, 3, 17, 64, 100] {
+            for span in [64 * n - 1, 64 * n, 64 * n + 1] {
+                // `n` values hitting both ends of `[min, min + span)`, with
+                // repeats, so both counters see the same extremes.
+                let min = -1_000i64;
+                let max = min + span as i64 - 1;
+                let mut data: Vec<Value> = (0..n as i64)
+                    .map(|i| min + (i * 37 % span as i64))
+                    .collect();
+                data[0] = max;
+                if n > 1 {
+                    data[n - 1] = min;
+                }
+                let budget = 64 * n as i128;
+                assert_eq!(
+                    dense_span(min, max, budget).is_some(),
+                    span < 64 * n,
+                    "n={n} span={span}"
+                );
+                let dense = popcount(&bitmap(&data, min, span));
+                let sorted = sorted_distinct(&data).len();
+                assert_eq!(dense, sorted, "n={n} span={span}");
+                assert_eq!(distinct_in_range(&data, min, max), sorted);
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_count_matches_a_set() {
+        let cols: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![4],
+            vec![3, 3, 3],
+            (1..=500).map(|v| v % 37).collect(),
+            vec![i64::MIN, 0, i64::MAX, 0, i64::MIN],
+            vec![1, 1 << 40, 5, 1 << 40, -(1 << 50)],
+        ];
+        for data in cols {
+            let expect = data.iter().collect::<std::collections::HashSet<_>>().len();
+            let c = Column::data("c", data);
+            assert_eq!(distinct_count(&c), expect);
+            assert_eq!(ColumnStats::compute(&c).ndv, expect);
+        }
     }
 
     #[test]
@@ -342,5 +487,35 @@ mod tests {
         .unwrap();
         // FK covers {1,2} of PK {1,2,3,4} -> 0.5.
         assert!((join_correlation(&ds, &ds.joins[0]) - 0.5).abs() < 1e-12);
+    }
+
+    fn join_of(pk: Vec<Value>, fk: Vec<Value>) -> f64 {
+        let ds = Dataset {
+            name: "d".into(),
+            tables: vec![
+                Table::with_columns("m", vec![Column::primary_key("id", pk)]).unwrap(),
+                Table::with_columns("f", vec![Column::foreign_key("m_id", fk)]).unwrap(),
+            ],
+            joins: vec![JoinEdge {
+                fk_table: 1,
+                fk_col: 0,
+                pk_table: 0,
+                pk_col: 0,
+            }],
+        };
+        join_correlation(&ds, &ds.joins[0])
+    }
+
+    #[test]
+    fn join_correlation_edge_shapes() {
+        // Empty PK column: nothing to cover.
+        assert_eq!(join_of(vec![], vec![1, 2]), 0.0);
+        // FK values outside the PK range are never covered.
+        assert_eq!(join_of(vec![10, 11, 12, 13], vec![-5, 11, 99, 11]), 0.25);
+        // Empty FK column covers nothing.
+        assert_eq!(join_of(vec![1, 2], vec![]), 0.0);
+        // A PK spread over the whole i64 range takes the sorted path.
+        let pk = vec![i64::MIN, -7, 0, i64::MAX];
+        assert_eq!(join_of(pk, vec![i64::MAX, 0, 0, 3, i64::MIN + 1]), 0.5);
     }
 }
